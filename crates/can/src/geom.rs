@@ -11,6 +11,22 @@ use std::fmt;
 /// A point in the d-dimensional CAN space. Coordinates live in `[0,1)`.
 pub type Point = Vec<f64>;
 
+/// Distance from coordinate `p` to the half-open interval `[lo, hi)`
+/// along one dimension (0 inside). Every zone-to-point distance in the
+/// workspace sums the squares of these gaps in dimension order, so
+/// routing decisions, and the digests that fold them, depend on this
+/// one expression.
+#[inline]
+pub fn axis_gap(p: f64, lo: f64, hi: f64) -> f64 {
+    if p < lo {
+        lo - p
+    } else if p >= hi {
+        p - hi
+    } else {
+        0.0
+    }
+}
+
 /// A half-open hyper-rectangle `[lo, hi)` in the unit space.
 ///
 /// ```
@@ -191,13 +207,7 @@ impl Zone {
         debug_assert_eq!(p.len(), self.dims());
         let mut sum = 0.0;
         for d in 0..self.dims() {
-            let gap = if p[d] < self.lo[d] {
-                self.lo[d] - p[d]
-            } else if p[d] >= self.hi[d] {
-                p[d] - self.hi[d]
-            } else {
-                0.0
-            };
+            let gap = axis_gap(p[d], self.lo[d], self.hi[d]);
             sum += gap * gap;
         }
         sum.sqrt()

@@ -11,10 +11,10 @@
 //! one flat arena of sorted neighbor ids with per-node offsets, and a
 //! second arena bucketing each node's neighbors by abutting face
 //! `(dim, dir)`. The matchmaking hot path reads borrowed slices out of
-//! these arenas — no per-query allocation or sorting.
+//! these arenas — no per-query allocation or sorting of neighbor lists.
 
 use pgrid_can::adjacency::Adjacency;
-use pgrid_can::geom::Point;
+use pgrid_can::geom::{axis_gap, Point};
 use pgrid_can::routing::{route, Route, RoutingView};
 use pgrid_can::split_tree::SplitTree;
 use pgrid_simcore::SimRng;
@@ -317,8 +317,44 @@ impl StaticGrid {
     /// (+1 = away from the origin), sorted ascending (borrowed).
     pub fn face_neighbors(&self, id: NodeId, dim: usize, dir: i8) -> &[NodeId] {
         debug_assert!(dir == 1 || dir == -1);
-        let b = (id.idx() * self.layout.dims() + dim) * 2 + usize::from(dir < 0);
+        self.face_bucket(id, dim * 2 + usize::from(dir < 0))
+    }
+
+    /// Face bucket `face = dim * 2 + (dir < 0)` of `id`.
+    fn face_bucket(&self, id: NodeId, face: usize) -> &[NodeId] {
+        let b = id.idx() * self.layout.dims() * 2 + face;
         &self.face_arena[self.face_off[b] as usize..self.face_off[b + 1] as usize]
+    }
+
+    /// A node's `(lo, hi)` bounds from the flat cache.
+    fn bounds(&self, id: NodeId) -> (&[f64], &[f64]) {
+        let dims = self.layout.dims();
+        let base = id.idx() * dims * 2;
+        self.zone_bounds[base..base + 2 * dims].split_at(dims)
+    }
+
+    /// Squared zone-to-point distance of `id`.
+    fn zone_sq(&self, id: NodeId, p: &Point) -> f64 {
+        self.zone_sq_below(id, p, f64::INFINITY)
+            .unwrap_or(f64::INFINITY)
+    }
+
+    /// Squared zone-to-point distance of `id`, summed in dimension
+    /// order (the sum whose sqrt is [`RoutingView::zone_distance`]), or
+    /// `None` as soon as a partial sum reaches `cut`. Partial sums of
+    /// non-negative terms never decrease, so `None` means the full sum
+    /// is `>= cut`.
+    fn zone_sq_below(&self, id: NodeId, p: &Point, cut: f64) -> Option<f64> {
+        let (lo, hi) = self.bounds(id);
+        let mut sum = 0.0;
+        for ((&x, &l), &h) in p.iter().zip(lo).zip(hi) {
+            let gap = axis_gap(x, l, h);
+            sum += gap * gap;
+            if sum >= cut {
+                return None;
+            }
+        }
+        Some(sum)
     }
 
     /// Neighbors on the *outward* (away from origin) face along `dim`.
@@ -392,9 +428,77 @@ impl StaticGrid {
         self.tree.owner_at(p).expect("grid is non-empty")
     }
 
-    /// Greedy CAN routing from `start` to the owner of `p`.
+    /// Greedy CAN routing from `start` to the owner of `p`: the same
+    /// hops as [`pgrid_can::routing::route`] over this grid, scoring
+    /// only neighbours that can still win each step (the exactness
+    /// argument is in DESIGN.md §6, "Pruned greedy step").
+    ///
+    /// Face buckets are visited by ascending lower bound: every
+    /// neighbour on face `(d, +1)` has `lo_d == hi_d` of this zone, so
+    /// its squared distance is at least `(hi_d - p_d)²` (mirrored for
+    /// `(d, -1)`). A neighbour is abandoned once its partial sum
+    /// reaches the current node's, or the incumbent's when its id is
+    /// above the incumbent's, since an equal distance goes to the
+    /// lower id. On a plateau the generic router resumes from the
+    /// stuck node.
     pub fn route_to(&self, start: NodeId, p: &Point) -> Route {
-        route(self, start, p).expect("static grid is connected")
+        let dims = self.layout.dims();
+        let mut faces: Vec<(f64, usize)> = Vec::with_capacity(2 * dims);
+        let mut current = start;
+        let mut cur_sum = self.zone_sq(start, p);
+        let mut hops = 0;
+        while !self.zone_contains(current, p) {
+            let dist = cur_sum.sqrt();
+            let (lo, hi) = self.bounds(current);
+            faces.clear();
+            for d in 0..dims {
+                let up = (hi[d] - p[d]).max(0.0);
+                let down = (p[d] - lo[d]).max(0.0);
+                faces.push((up * up, 2 * d));
+                faces.push((down * down, 2 * d + 1));
+            }
+            faces.retain(|&(bound, _)| bound < cur_sum);
+            faces.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            // Incumbent: (id, squared distance, distance).
+            let mut best: Option<(NodeId, f64, f64)> = None;
+            for &(bound, face) in &faces {
+                if best.is_some_and(|(_, _, bd)| bound.sqrt() > bd) {
+                    break;
+                }
+                for &n in self.face_bucket(current, face) {
+                    let cut = match best {
+                        Some((bid, bs, _)) if n > bid => bs,
+                        _ => cur_sum,
+                    };
+                    let Some(sum) = self.zone_sq_below(n, p, cut) else {
+                        continue;
+                    };
+                    let nd = sum.sqrt();
+                    match best {
+                        Some((bid, _, bd)) if nd > bd || (nd == bd && n >= bid) => {}
+                        _ => best = Some((n, sum, nd)),
+                    }
+                }
+            }
+            match best {
+                Some((n, sum, nd)) if nd < dist => {
+                    current = n;
+                    cur_sum = sum;
+                    hops += 1;
+                }
+                _ => {
+                    let rest = route(self, current, p).expect("static grid is connected");
+                    return Route {
+                        owner: rest.owner,
+                        hops: hops + rest.hops,
+                    };
+                }
+            }
+        }
+        Route {
+            owner: current,
+            hops,
+        }
     }
 
     /// Mean neighbor degree (diagnostics).
@@ -487,31 +591,11 @@ impl RoutingView for StaticGrid {
         self.neighbors(id).iter().copied()
     }
     fn zone_distance(&self, id: NodeId, p: &Point) -> f64 {
-        // Same arithmetic (and evaluation order) as
-        // `Zone::distance_to`, reading the flat bounds cache.
-        let dims = self.layout.dims();
-        let base = id.idx() * dims * 2;
-        let lo = &self.zone_bounds[base..base + dims];
-        let hi = &self.zone_bounds[base + dims..base + 2 * dims];
-        let mut sum = 0.0;
-        for d in 0..dims {
-            let gap = if p[d] < lo[d] {
-                lo[d] - p[d]
-            } else if p[d] >= hi[d] {
-                p[d] - hi[d]
-            } else {
-                0.0
-            };
-            sum += gap * gap;
-        }
-        sum.sqrt()
+        self.zone_sq(id, p).sqrt()
     }
     fn zone_contains(&self, id: NodeId, p: &Point) -> bool {
-        let dims = self.layout.dims();
-        let base = id.idx() * dims * 2;
-        let lo = &self.zone_bounds[base..base + dims];
-        let hi = &self.zone_bounds[base + dims..base + 2 * dims];
-        (0..dims).all(|d| lo[d] <= p[d] && p[d] < hi[d])
+        let (lo, hi) = self.bounds(id);
+        (0..lo.len()).all(|d| lo[d] <= p[d] && p[d] < hi[d])
     }
 }
 

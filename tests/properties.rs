@@ -263,18 +263,40 @@ proptest! {
 
     /// Any generated population builds a valid static grid whose zones
     /// partition the space and contain their owners' coordinates, and
-    /// routing always finds the owner.
+    /// routing always finds the owner. The grid's pruned router takes
+    /// exactly the generic router's hops from any start node, including
+    /// on identical-node populations (split only along the virtual
+    /// dimension) and on targets snapped onto zone bounds, where
+    /// neighbours tie on distance and the lower id must win.
     #[test]
-    fn static_grid_builds_from_any_population(seed in 0u64..1000, n in 10usize..80) {
+    fn static_grid_builds_from_any_population(
+        seed in 0u64..1000,
+        n in 10usize..80,
+        identical in any::<bool>(),
+    ) {
         let layout = DimensionLayout::with_dims(8);
-        let pop = generate_nodes(&NodeGenConfig::paper_defaults(1), n, seed);
+        let pop = if identical {
+            vec![NodeSpec::cpu_only(2.0, 8.0, 4, 100.0); n]
+        } else {
+            generate_nodes(&NodeGenConfig::paper_defaults(1), n, seed)
+        };
         let grid = StaticGrid::build(layout, pop, seed);
         grid.check_invariants();
         let mut rng = SimRng::seed_from_u64(seed ^ 0xABCD);
-        for _ in 0..5 {
-            let p: Vec<f64> = (0..8).map(|_| rng.unit() * 0.99).collect();
-            let r = grid.route_to(NodeId(0), &p);
+        for i in 0..40 {
+            let mut p: Vec<f64> = (0..8).map(|_| rng.unit() * 0.99).collect();
+            if i % 2 == 1 {
+                let z = grid.zone(NodeId(rng.below(n) as u32));
+                for (d, x) in p.iter_mut().enumerate() {
+                    if rng.unit() < 0.5 {
+                        *x = if z.hi(d) < 1.0 && rng.unit() < 0.5 { z.hi(d) } else { z.lo(d) };
+                    }
+                }
+            }
+            let start = NodeId(rng.below(n) as u32);
+            let r = grid.route_to(start, &p);
             prop_assert_eq!(r.owner, grid.owner_at(&p));
+            prop_assert_eq!(r, p2p_ce_grid::can::route(&grid, start, &p).unwrap());
         }
     }
 
